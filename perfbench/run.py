@@ -8,15 +8,16 @@ One run, as listed in BENCHMARK.json:
 With --trace 0 the last line of standard output is the workload's
 end-to-end metrics. With --trace 1 the traced run of every workload the
 binary has is made (serve-cold too, which BENCHMARK.json does not list), the
-named one first, each in its own process, and the last line holds every
+named one first, each in its own process for an equal share of the run
+length, and the last line holds every
 per-layer metric: each layer is measured on the workload that exercises it.
 
 Steadiness check, made before a change is measured:
 
-    python3 perfbench/run.py --steady 10 [--workloads a,b] [--seconds s] [--first-seed n] [--traced]
+    python3 perfbench/run.py --steady 10 [--workloads a,b] [--traced]
 
-repeats each workload listed in BENCHMARK.json (or each named one) on
-successive seeds and prints, for every end-to-end metric, the median, the
+repeats each workload listed in BENCHMARK.json (or each named one) for
+run_seconds on seeds 1..10 and prints, for every end-to-end metric, the median, the
 quartiles and their spread against the metric's bound in BENCHMARK.json;
 with --traced it adds one traced run per workload and prints the tracing
 overhead (traced over untraced median).
@@ -81,11 +82,12 @@ def single(args):
         print_result(out["correct"], out["attempted"], out["failed"], out["metrics"])
         return
     order = [args.workload] + [w for w in WORKLOADS if w != args.workload]
-    # The children share the run's time limit.
+    # The children share the run's length and its time limit.
+    seconds = args.seconds / len(order)
     budget = CHILD_TIMEOUT_S // len(order)
     correct, attempted, failed, metrics = True, 0, 0, {}
     for workload in order:
-        out = run_once(binary, workload, args.seed, args.seconds, True, timeout=budget)
+        out = run_once(binary, workload, args.seed, seconds, True, timeout=budget)
         correct &= out["correct"]
         attempted += out["attempted"]
         failed += out["failed"]
@@ -108,10 +110,10 @@ def steady(args):
     binary = build()
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     listed = [w["name"] for w in spec["workloads"]]
     workloads = args.workloads.split(",") if args.workloads else listed
-    seeds = range(args.first_seed, args.first_seed + args.steady)
+    seeds = range(1, args.steady + 1)
     worst = 0.0
     for workload in workloads:
         runs = [run_once(binary, workload, seed, seconds, False) for seed in seeds]
@@ -127,8 +129,7 @@ def steady(args):
             q1, med, q3 = quartiles(values)
             spread = (q3 - q1) / med if med else float("inf")
             medians[name] = med
-            if name != "setup_s":
-                worst = max(worst, spread / bound)
+            worst = max(worst, spread / bound)
             print(f"  {name:<18} {med:>12.4f} {q1:>12.4f} {q3:>12.4f} {spread:>8.2%} {bound:>6.2f} {spread / bound:>12.2f}")
         if args.traced:
             traced = run_once(binary, workload, seeds.start, seconds, True)["traced_end_to_end"]
@@ -136,7 +137,7 @@ def steady(args):
             for name, med in medians.items():
                 value = traced[name]["value"]
                 print(f"    {name:<18} {value:>12.4f} / {med:>12.4f} = {value / med:.2f}x")
-    print(f"\nlargest spread/bound over the timing metrics (setup_s excluded): {worst:.2f}")
+    print(f"\nlargest spread/bound over the end-to-end metrics: {worst:.2f}")
 
 
 def main():
@@ -147,7 +148,6 @@ def main():
     parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
     parser.add_argument("--steady", type=int, metavar="RUNS")
     parser.add_argument("--workloads")
-    parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--traced", action="store_true")
     args = parser.parse_args()
     if args.steady:

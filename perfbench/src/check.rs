@@ -4,10 +4,18 @@
 
 use std::fs;
 
+use json::Json;
+
 use mdq_circuit::{Circuit, Gate};
 use mdq_num::radix::Dims;
 use mdq_num::Complex;
 use mdq_sim::StateVector;
+
+/// The JSON reader the repository's integration tests load the same golden
+/// file with.
+#[allow(dead_code)]
+#[path = "../../tests/support/json.rs"]
+mod json;
 
 /// FNV-1a over the raw bits of a circuit: register, and per instruction the
 /// target, the controls, and the gate with its angles' bit patterns. Two
@@ -96,192 +104,43 @@ impl GoldenRegister {
     }
 }
 
-/// Reads the Table-1 golden file.
+/// Reads the Table-1 golden file with the repository's fixture reader.
+///
+/// # Panics
+///
+/// Panics, naming the field, if the file does not have the golden layout.
 pub fn load_golden(path: &str) -> Result<Vec<GoldenRegister>, String> {
     let text = fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let root = Json::parse(&text).ok_or_else(|| format!("{path}: not valid JSON"))?;
-    let registers = root
-        .get("registers")
-        .and_then(Json::array)
-        .ok_or("no registers")?;
-    registers
+    let root = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    let registers = root.get("registers").ok_or("no registers")?.expect_array();
+    Ok(registers
         .iter()
-        .map(|reg| {
-            let dims = reg
+        .map(|reg| GoldenRegister {
+            dims: reg
                 .get("dims")
-                .and_then(Json::array)
-                .ok_or("register without dims")?
+                .expect("register without dims")
+                .expect_array()
                 .iter()
-                .map(|d| d.number().map(|n| n as usize).ok_or("bad dim"))
-                .collect::<Result<Vec<_>, _>>()?;
-            let nodes_exact = reg
+                .map(Json::expect_usize)
+                .collect(),
+            nodes_exact: reg
                 .get("nodes_exact")
-                .and_then(Json::number)
-                .ok_or("no nodes_exact")?;
-            let operations = match reg.get("operations") {
-                Some(Json::Object(fields)) => fields
-                    .iter()
-                    .map(|(k, v)| Ok((k.clone(), v.number().ok_or("bad operations")? as usize)))
-                    .collect::<Result<Vec<_>, String>>()?,
-                _ => Vec::new(),
-            };
-            Ok(GoldenRegister {
-                dims,
-                nodes_exact: nodes_exact as usize,
-                operations,
-                random_exact_operations: reg
-                    .get("random_exact_operations")
-                    .and_then(Json::number)
-                    .map(|n| n as usize),
-            })
+                .expect("no nodes_exact")
+                .expect_usize(),
+            operations: reg
+                .get("operations")
+                .map(|ops| {
+                    ops.expect_object()
+                        .iter()
+                        .map(|(family, n)| (family.clone(), n.expect_usize()))
+                        .collect()
+                })
+                .unwrap_or_default(),
+            random_exact_operations: reg.get("random_exact_operations").map(Json::expect_usize),
         })
-        .collect()
+        .collect())
 }
 
 pub fn golden_for<'a>(golden: &'a [GoldenRegister], dims: &Dims) -> Option<&'a GoldenRegister> {
     golden.iter().find(|g| g.dims == dims.as_slice())
-}
-
-/// Just enough JSON to read the golden file.
-enum Json {
-    Null,
-    Bool,
-    Number(f64),
-    Str(String),
-    Array(Vec<Json>),
-    Object(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn parse(text: &str) -> Option<Json> {
-        let mut p = Parser {
-            s: text.as_bytes(),
-            i: 0,
-        };
-        let v = p.value()?;
-        p.ws();
-        (p.i == p.s.len()).then_some(v)
-    }
-
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    fn number(&self) -> Option<f64> {
-        match self {
-            Json::Number(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    s: &'a [u8],
-    i: usize,
-}
-
-impl Parser<'_> {
-    fn ws(&mut self) {
-        while self.s.get(self.i).is_some_and(u8::is_ascii_whitespace) {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, lit: &str) -> bool {
-        let ok = self.s[self.i..].starts_with(lit.as_bytes());
-        if ok {
-            self.i += lit.len();
-        }
-        ok
-    }
-
-    fn value(&mut self) -> Option<Json> {
-        self.ws();
-        match *self.s.get(self.i)? {
-            b'{' => {
-                self.i += 1;
-                let mut fields = Vec::new();
-                self.ws();
-                if self.eat("}") {
-                    return Some(Json::Object(fields));
-                }
-                loop {
-                    self.ws();
-                    let Json::Str(key) = self.value()? else {
-                        return None;
-                    };
-                    self.ws();
-                    if !self.eat(":") {
-                        return None;
-                    }
-                    fields.push((key, self.value()?));
-                    self.ws();
-                    if self.eat("}") {
-                        return Some(Json::Object(fields));
-                    }
-                    if !self.eat(",") {
-                        return None;
-                    }
-                }
-            }
-            b'[' => {
-                self.i += 1;
-                let mut items = Vec::new();
-                self.ws();
-                if self.eat("]") {
-                    return Some(Json::Array(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    self.ws();
-                    if self.eat("]") {
-                        return Some(Json::Array(items));
-                    }
-                    if !self.eat(",") {
-                        return None;
-                    }
-                }
-            }
-            b'"' => {
-                self.i += 1;
-                let start = self.i;
-                while *self.s.get(self.i)? != b'"' {
-                    // The golden file holds no escapes but quotes may be
-                    // escaped in comments: skip the escaped byte.
-                    self.i += if self.s[self.i] == b'\\' { 2 } else { 1 };
-                }
-                let text = String::from_utf8_lossy(&self.s[start..self.i]).into_owned();
-                self.i += 1;
-                Some(Json::Str(text))
-            }
-            b't' => self.eat("true").then_some(Json::Bool),
-            b'f' => self.eat("false").then_some(Json::Bool),
-            b'n' => self.eat("null").then_some(Json::Null),
-            _ => {
-                let start = self.i;
-                while self
-                    .s
-                    .get(self.i)
-                    .is_some_and(|c| c.is_ascii_digit() || b"+-.eE".contains(c))
-                {
-                    self.i += 1;
-                }
-                std::str::from_utf8(&self.s[start..self.i])
-                    .ok()?
-                    .parse()
-                    .ok()
-                    .map(Json::Number)
-            }
-        }
-    }
 }

@@ -2,9 +2,11 @@
 //!
 //! A round runs the 14 Table-1 rows under exact and approximated-0.98
 //! options (28 jobs). Structured rows are the same every round; the random
-//! rows cycle through `DRAWS` seeded draws, one per round. Rounds are timed
-//! one by one and checked between rounds, outside the timed window, until
-//! the timed rounds add up to the run length.
+//! rows cycle through `DRAWS` seeded draws, one per round. The run is
+//! `SETUPS` segments, each set up afresh and then timed for its share of
+//! the run length. Rounds are timed one by one and checked between rounds,
+//! outside the timed window, until the segment's timed rounds add up to its
+//! share and its last cycle through the draws is whole.
 //!
 //! Dense simulation of the largest random circuit costs about five times
 //! the whole timed round, so each distinct job is simulated once; a job
@@ -23,7 +25,7 @@ use mdq_num::Complex;
 use crate::check::{self, GoldenRegister};
 use crate::stats::{self, median, ms, process_cpu};
 use crate::trace::Tracer;
-use crate::{metric, EndToEnd, Metric, Outcome, Slice, SETUP_REPEATS};
+use crate::{metric, EndToEnd, Metric, Outcome, Slice, SETUPS};
 
 const GOLDEN: &str = "tests/golden/table1.json";
 
@@ -85,7 +87,6 @@ impl Runner {
         inputs: &[Vec<Complex>],
         group: u64,
         mut tracer: Option<&mut Tracer>,
-        latencies_ms: &mut Vec<f64>,
     ) -> Vec<Job> {
         let mut jobs = Vec::with_capacity(inputs.len() * 2);
         for (row, amplitudes) in inputs.iter().enumerate() {
@@ -102,7 +103,6 @@ impl Runner {
                 match result {
                     Ok(result) => {
                         let (circuit, report) = self.preparer.recycle(result);
-                        latencies_ms.push(ms(start.elapsed()));
                         jobs.push(Job {
                             row,
                             exact: opts.fidelity_threshold.is_none(),
@@ -235,10 +235,13 @@ fn check_round(
             errors.push(format!("{name}: register missing from {GOLDEN}"));
             continue;
         };
+        // Table 1 counts the operations of exact synthesis only; an
+        // approximated job is checked by its fidelity above.
         let expected = match row.family {
-            Family::Random => g.random_exact_operations.filter(|_| job.exact),
+            Family::Random => g.random_exact_operations,
             family => g.operations_of(family.name()),
-        };
+        }
+        .filter(|_| job.exact);
         if let Some(ops) = expected {
             if job.circuit.len() != ops {
                 errors.push(format!(
@@ -260,16 +263,21 @@ fn check_round(
 pub fn run(seed: u64, seconds: Duration, traced: bool) -> Result<Outcome, String> {
     let golden = check::load_golden(GOLDEN)?;
     let rows = table1_rows();
+    let segment = seconds / SETUPS as u32;
 
-    // Set-up: input generation plus one untimed warm-up round on a fresh
-    // preparer, repeated; the last repetition's preparer is kept.
     let mut e2e = EndToEnd::default();
-    let mut runner = None;
-    let mut inputs = Vec::new();
-    for _ in 0..SETUP_REPEATS {
+    let mut tracer = Tracer::new(Instant::now());
+    let mut counts: Vec<RoundCounts> = Vec::new();
+    let mut errors = Vec::new();
+    let mut checked = Checked::new();
+    let (mut attempted, mut failed) = (0, 0);
+    let mut round = 0;
+    for _ in 0..SETUPS {
+        // Set-up: input generation plus one untimed warm-up cycle through
+        // the draws on a fresh preparer.
         let start = Instant::now();
-        inputs = (0..DRAWS).map(|d| draw_inputs(&rows, seed, d)).collect();
-        let mut r = Runner {
+        let inputs: Vec<_> = (0..DRAWS).map(|d| draw_inputs(&rows, seed, d)).collect();
+        let mut runner = Runner {
             rows: rows.clone(),
             preparer: Preparer::new(),
             stage_arena: None,
@@ -277,71 +285,61 @@ pub fn run(seed: u64, seconds: Duration, traced: bool) -> Result<Outcome, String
             attempted: 0,
             failed: 0,
         };
-        std::hint::black_box(r.round(&inputs[0], 0, None, &mut Vec::new()));
-        e2e.setup_s.push(start.elapsed().as_secs_f64());
-        runner = Some(r);
-    }
-    let mut runner = runner.expect("at least one set-up");
-    runner.attempted = 0;
-    runner.failed = 0;
-
-    let mut tracer = Tracer::new(Instant::now());
-    let mut counts: Vec<RoundCounts> = Vec::new();
-    let mut errors = Vec::new();
-    let mut checked = Checked::new();
-    let mut round = 0;
-    let mut window = Duration::ZERO;
-    while window < seconds {
-        let draw = round % DRAWS;
-        let inputs = &inputs[draw as usize];
-        let weights_before = runner.weights;
-        let mut latencies_ms = Vec::with_capacity(2 * rows.len());
-        let cpu_before = process_cpu();
-        let start = Instant::now();
-        let jobs = runner.round(
-            inputs,
-            round,
-            traced.then_some(&mut tracer),
-            &mut latencies_ms,
-        );
-        let duration = start.elapsed();
-        // Each round is a slice: the same fixed mix of 28 jobs.
-        e2e.slices.push(Slice {
-            jobs: jobs.len() as u64,
-            duration,
-            cpu: process_cpu().saturating_sub(cpu_before),
-            latencies_ms,
-        });
-        window += duration;
-        let weights_after = runner.weights;
-
-        // Outside the timed window from here on.
-        if round == 0 {
-            e2e.circuit_ops = jobs.iter().map(|j| j.circuit.len() as u64).sum();
-            e2e.circuit_controls = jobs.iter().map(|j| check::control_sum(&j.circuit)).sum();
+        for draw_inputs in &inputs {
+            std::hint::black_box(runner.round(draw_inputs, 0, None));
         }
-        counts.push(RoundCounts {
-            weight_lookups: weights_after.0 - weights_before.0,
-            weight_insertions: weights_after.1 - weights_before.1,
-            nodes_initial: jobs.iter().map(|j| j.report.nodes_initial as u64).sum(),
-            nodes_final: jobs.iter().map(|j| j.report.nodes_final as u64).sum(),
-            distinct_c_final: jobs.iter().map(|j| j.report.distinct_c_final as u64).sum(),
-        });
-        errors.extend(check_round(
-            &rows,
-            inputs,
-            draw,
-            &jobs,
-            &golden,
-            &mut checked,
-        ));
-        round += 1;
+        e2e.setup_s.push(start.elapsed().as_secs_f64());
+        runner.attempted = 0;
+        runner.failed = 0;
+
+        // Whole cycles through the draws, so that every segment holds each
+        // draw equally often.
+        let mut slice = Slice::default();
+        while slice.duration < segment || round % DRAWS != 0 {
+            let draw = round % DRAWS;
+            let inputs = &inputs[draw as usize];
+            let weights_before = runner.weights;
+            let cpu_before = process_cpu();
+            let start = Instant::now();
+            let jobs = runner.round(inputs, round, traced.then_some(&mut tracer));
+            let duration = start.elapsed();
+            slice.cpu += process_cpu().saturating_sub(cpu_before);
+            slice.duration += duration;
+            slice.jobs += jobs.len() as u64;
+            slice.latencies_ms.push(ms(duration));
+            let weights_after = runner.weights;
+
+            // Outside the timed window from here on.
+            if round == 0 {
+                e2e.circuit_ops = jobs.iter().map(|j| j.circuit.len() as u64).sum();
+                e2e.circuit_controls = jobs.iter().map(|j| check::control_sum(&j.circuit)).sum();
+            }
+            counts.push(RoundCounts {
+                weight_lookups: weights_after.0 - weights_before.0,
+                weight_insertions: weights_after.1 - weights_before.1,
+                nodes_initial: jobs.iter().map(|j| j.report.nodes_initial as u64).sum(),
+                nodes_final: jobs.iter().map(|j| j.report.nodes_final as u64).sum(),
+                distinct_c_final: jobs.iter().map(|j| j.report.distinct_c_final as u64).sum(),
+            });
+            errors.extend(check_round(
+                &rows,
+                inputs,
+                draw,
+                &jobs,
+                &golden,
+                &mut checked,
+            ));
+            round += 1;
+        }
+        e2e.slices.push(slice);
+        attempted += runner.attempted;
+        failed += runner.failed;
     }
     e2e.peak_rss_mb = stats::peak_rss_mb();
 
     let mut outcome = Outcome {
-        attempted: runner.attempted,
-        failed: runner.failed,
+        attempted,
+        failed,
         errors,
         end_to_end: e2e.metrics(),
         layers: Vec::new(),

@@ -22,9 +22,13 @@ use std::time::Duration;
 
 use stats::{median, quantile};
 
-/// Set-up is repeated this many times per run and its median reported, so
-/// that one slow thread start or page-cache miss does not set the figure.
-pub const SETUP_REPEATS: usize = 3;
+/// Set-ups per run; `setup_s` is their median. `compile-table1` and
+/// `serve-hot` split the timed window into this many segments and set up
+/// afresh before each, so that the set-up samples are spread over the run
+/// as the timed slices are, and a slow spell of the host moves both alike.
+/// `serve-cold`, whose open-loop schedule runs unbroken, sets up this many
+/// times before its window and keeps the last.
+pub const SETUPS: usize = 10;
 
 #[derive(Debug, Clone)]
 pub struct Metric {
@@ -50,40 +54,33 @@ pub struct Outcome {
     pub summary: String,
 }
 
-/// One slice of the timed window: a round of `compile-table1` (the fixed
-/// 28-job mix), or a fixed interval of a serving workload (hundreds of
-/// requests of one shape). Latency quantiles are taken within a slice; a
-/// quantile over a whole `compile-table1` run would sit on the 4× gap
-/// between its 14th and 15th job sizes and jump with one job's timing.
+/// One slice of the timed window: a segment of `compile-table1` or
+/// `serve-hot` (see `SETUPS`), or a fixed interval of `serve-cold`.
 #[derive(Debug, Default)]
 pub struct Slice {
     pub jobs: u64,
     pub duration: Duration,
     /// Process CPU spent in the slice.
     pub cpu: Duration,
-    /// Latencies of the jobs completed in the slice, in milliseconds.
+    /// Latencies of the requests completed in the slice, in milliseconds.
+    /// A `compile-table1` request is a round, the whole Table-1 evaluation,
+    /// so that every request is the same work: the median of the rounds'
+    /// jobs would fall between a 0.19 and a 0.78 ms job, and drifted twice
+    /// as far between runs as the rate did.
     pub latencies_ms: Vec<f64>,
-}
-
-impl Slice {
-    fn rate(&self) -> f64 {
-        self.jobs as f64 / self.duration.as_secs_f64()
-    }
-
-    fn cpu_ms_per_job(&self) -> f64 {
-        stats::ms(self.cpu) / self.jobs as f64
-    }
 }
 
 /// The raw figures every workload's end-to-end metrics derive from.
 ///
-/// Each timing metric is computed per slice, and the run reports the
-/// quartile of slices that is best for it (the upper quartile of rates, the
-/// lower quartile of CPU per job and of latency quantiles). The 2-vCPU host
-/// this benchmark was tuned on slows down by up to 40% for spells of
-/// seconds to a minute, whatever runs; a change to the program moves every
-/// slice, while a slow spell that leaves a quarter of the run untouched
-/// moves nothing.
+/// The 2-vCPU host this benchmark was tuned on runs up to 1.6× slower for
+/// spells of seconds to minutes, whatever runs. Rates and CPU per job are
+/// whole-window means (all jobs over the summed slice time and CPU), which
+/// follow the share of slow time smoothly, where a median over slices
+/// flips between the fast and the slow speed. Latency quantiles are taken
+/// per slice and the run reports their median over the slices, which moves
+/// with a change that slows most of the run and not with a slow spell that
+/// covers less than half of it. The whole-window quantiles are printed on
+/// standard error.
 #[derive(Debug, Default)]
 pub struct EndToEnd {
     pub slices: Vec<Slice>,
@@ -102,10 +99,13 @@ impl EndToEnd {
         self.slices.iter().map(|s| s.jobs).sum()
     }
 
-    /// Quantile `q` over the slices of a per-slice figure.
-    fn over_slices(&self, q: f64, f: impl Fn(&Slice) -> f64) -> f64 {
-        let values: Vec<f64> = self.slices.iter().filter(|s| s.jobs > 0).map(f).collect();
-        quantile(&values, q)
+    fn window(&self) -> Duration {
+        self.slices.iter().map(|s| s.duration).sum()
+    }
+
+    fn cpu_ms_per_job(&self) -> f64 {
+        let cpu: Duration = self.slices.iter().map(|s| s.cpu).sum();
+        stats::ms(cpu) / self.jobs() as f64
     }
 
     fn all_latencies(&self) -> Vec<f64> {
@@ -115,24 +115,27 @@ impl EndToEnd {
             .collect()
     }
 
+    /// Latency quantile `q` of each slice, median over the slices.
+    fn latency(&self, q: f64) -> f64 {
+        let per_slice: Vec<f64> = self
+            .slices
+            .iter()
+            .filter(|s| s.jobs > 0)
+            .map(|s| quantile(&s.latencies_ms, q))
+            .collect();
+        median(&per_slice)
+    }
+
     pub fn metrics(&self) -> Vec<Metric> {
         vec![
-            metric("jobs_per_s", self.over_slices(0.75, Slice::rate), "1/s"),
             metric(
-                "latency_p50_ms",
-                self.over_slices(0.25, |s| median(&s.latencies_ms)),
-                "ms",
+                "jobs_per_s",
+                self.jobs() as f64 / self.window().as_secs_f64(),
+                "1/s",
             ),
-            metric(
-                "latency_p99_ms",
-                self.over_slices(0.25, |s| quantile(&s.latencies_ms, 0.99)),
-                "ms",
-            ),
-            metric(
-                "cpu_ms_per_job",
-                self.over_slices(0.25, Slice::cpu_ms_per_job),
-                "ms",
-            ),
+            metric("latency_p50_ms", self.latency(0.5), "ms"),
+            metric("latency_p99_ms", self.latency(0.99), "ms"),
+            metric("cpu_ms_per_job", self.cpu_ms_per_job(), "ms"),
             metric("setup_s", median(&self.setup_s), "s"),
             metric("peak_rss_mb", self.peak_rss_mb, "MiB"),
             metric("circuit_ops", self.circuit_ops as f64, "count"),
@@ -140,23 +143,19 @@ impl EndToEnd {
         ]
     }
 
-    /// Whole-window figures, printed beside the per-slice medians.
+    /// Whole-window quantiles and the set-up samples, printed beside the
+    /// metrics.
     pub fn summary(&self) -> String {
         let all = self.all_latencies();
-        let window: Duration = self.slices.iter().map(|s| s.duration).sum();
-        let cpu: Duration = self.slices.iter().map(|s| s.cpu).sum();
         format!(
-            "whole window: {} jobs in {} slices over {:.2} s: {:.1} jobs/s, p50 {:.3} ms, p99 {:.3} ms over all {} latencies, {:.3} CPU ms/job; per-slice medians {:.1} jobs/s, {:.3} CPU ms/job",
+            "whole window: {} jobs in {} slices over {:.2} s: p50 {:.3} ms, p99 {:.3} ms over all {} latencies; set-up samples {:.4?} s",
             self.jobs(),
             self.slices.len(),
-            window.as_secs_f64(),
-            self.jobs() as f64 / window.as_secs_f64(),
+            self.window().as_secs_f64(),
             median(&all),
             quantile(&all, 0.99),
             all.len(),
-            stats::ms(cpu) / self.jobs().max(1) as f64,
-            self.over_slices(0.5, Slice::rate),
-            self.over_slices(0.5, Slice::cpu_ms_per_job),
+            self.setup_s,
         )
     }
 }
@@ -285,7 +284,7 @@ fn main() -> ExitCode {
         eprintln!("  check failed: {e}");
     }
     eprintln!("{}", outcome.summary);
-    print_table("end-to-end (best quartile of slices):", &outcome.end_to_end);
+    print_table("end-to-end:", &outcome.end_to_end);
     if args.trace {
         print_table("per-layer:", &outcome.layers);
     }

@@ -29,7 +29,7 @@ use rand::SeedableRng;
 use crate::check;
 use crate::stats::{median, ms, process_cpu};
 use crate::trace::Tracer;
-use crate::{metric, work_dir, EndToEnd, Outcome, Slice, SETUP_REPEATS};
+use crate::{metric, work_dir, EndToEnd, Outcome, Slice, SETUPS};
 
 const REGISTER: [usize; 4] = [9, 5, 6, 3];
 const FIDELITY: f64 = 0.98;
@@ -45,10 +45,9 @@ const COUNTED_ROUND: usize = 64;
 /// request for the whole run. `serve-hot` leaves its caches unbounded, so
 /// that no hot entry can be evicted.
 const COLD_CACHE_CAPACITY: usize = 128;
-/// Slice lengths of the timed window (see `EndToEnd`): about 1000 hot
-/// requests, so that each slice's p99 has ten samples beyond it, or 200
-/// cold ones (a 20 s run has 1000 in all).
-const HOT_SLICE: Duration = Duration::from_secs(2);
+/// Slice length of `serve-cold`: 200 requests. A `serve-hot` slice is a
+/// segment: with the benchmark's run length, about 2000 requests, so that
+/// its p99 has twenty samples beyond it.
 const COLD_SLICE: Duration = Duration::from_secs(4);
 /// Fresh requests `serve-cold` sends during set-up, outside the timed set,
 /// so that the workers' arenas have grown before timing starts.
@@ -130,7 +129,7 @@ impl Stack {
     }
 }
 
-/// Runs the set-up `SETUP_REPEATS` times, timing each: `inputs`, then the
+/// Runs the set-up `SETUPS` times, timing each: `inputs`, then the
 /// stack's start, then `warm` on the started stack. Keeps the last stack
 /// running.
 fn timed_setups(
@@ -141,7 +140,7 @@ fn timed_setups(
     snapshot_dir: Option<&Path>,
 ) -> Result<Stack, String> {
     let mut stack: Option<Stack> = None;
-    for _ in 0..SETUP_REPEATS {
+    for _ in 0..SETUPS {
         if let Some(old) = stack.take() {
             old.stop();
         }
@@ -155,21 +154,47 @@ fn timed_setups(
     Ok(stack.expect("at least one set-up"))
 }
 
-/// Summed cache hits, misses and per-shard jobs between two stats reads.
-fn router_delta(before: &RouterStats, after: &RouterStats) -> (u64, u64, Vec<u64>) {
-    let mut hits = 0;
-    let mut misses = 0;
-    let mut jobs = Vec::new();
-    for shard in &after.shards {
-        let prior = before.shards.iter().find(|s| s.shard == shard.shard);
-        let (h0, m0, j0) = prior.map_or((0, 0, 0), |s| {
-            (s.engine.cache.hits, s.engine.cache.misses, s.engine.jobs)
-        });
-        hits += shard.engine.cache.hits - h0;
-        misses += shard.engine.cache.misses - m0;
-        jobs.push(shard.engine.jobs - j0);
+/// `serve-hot` counters summed over the segments' stacks, each read at the
+/// end of its segment's timed window.
+#[derive(Default)]
+struct HotCounters {
+    hits: u64,
+    misses: u64,
+    shard_jobs: Vec<u64>,
+    retries: u64,
+    connections: u64,
+    error_replies: u64,
+    bad_frames: u64,
+    timeouts: u64,
+    oversized: u64,
+}
+
+impl HotCounters {
+    /// Adds what `stack` did since `before` was read from its router.
+    fn add(&mut self, stack: &Stack, before: &RouterStats) {
+        let after = stack.router().stats();
+        self.shard_jobs.resize(after.shards.len(), 0);
+        for (i, shard) in after.shards.iter().enumerate() {
+            let prior = before.shards.iter().find(|s| s.shard == shard.shard);
+            let (h0, m0, j0) = prior.map_or((0, 0, 0), |s| {
+                (s.engine.cache.hits, s.engine.cache.misses, s.engine.jobs)
+            });
+            self.hits += shard.engine.cache.hits - h0;
+            self.misses += shard.engine.cache.misses - m0;
+            self.shard_jobs[i] += shard.engine.jobs - j0;
+        }
+        self.retries += stack.clients.iter().map(WireClient::retries).sum::<u64>();
+        self.connections += stack
+            .clients
+            .iter()
+            .map(WireClient::connections)
+            .sum::<u64>();
+        let server = stack.server.stats();
+        self.error_replies += server.error_replies;
+        self.bad_frames += server.bad_frames;
+        self.timeouts += server.timeouts;
+        self.oversized += server.oversized;
     }
-    (hits, misses, jobs)
 }
 
 /// Runs each lane on its own scoped thread while this thread samples the
@@ -311,35 +336,51 @@ pub fn run_hot(seed: u64, seconds: Duration, traced: bool) -> Result<Outcome, St
     }
 
     let mut e2e = EndToEnd::default();
-    let mut stack = timed_setups(&mut e2e, || {}, |_| Ok(()), &socket, Some(&snapshots))?;
+    let segment = seconds / SETUPS as u32;
+    let trace_origin = Instant::now();
+    let mut lanes = Vec::new();
+    let mut counters = HotCounters::default();
+    let mut stack: Option<Stack> = None;
+    for index in 0..SETUPS {
+        if let Some(old) = stack.take() {
+            old.stop();
+        }
+        let start = Instant::now();
+        let mut started = Stack::start(&socket, Some(&snapshots))?;
+        e2e.setup_s.push(start.elapsed().as_secs_f64());
 
-    let before = stack.router().stats();
-    let origin = Instant::now();
-    let deadline = origin + seconds;
-    let Stack { server, clients } = &mut stack;
-    let router = server.backend().router().expect("router backend");
-    let frames_ref = &frames;
-    let lanes: Vec<_> = clients
-        .iter_mut()
-        .enumerate()
-        .map(|(k, client)| {
-            move || {
-                hot_lane(
-                    k,
-                    client,
-                    frames_ref,
-                    deadline,
-                    traced.then_some(router),
-                    origin,
-                )
-            }
-        })
-        .collect();
-    let (lanes, samples) = run_sampled(lanes, origin, HOT_SLICE);
-    e2e.slices = slices(&samples, &lanes);
+        let before = started.router().stats();
+        let origin = Instant::now();
+        let deadline = origin + segment;
+        let Stack { server, clients } = &mut started;
+        let router = server.backend().router().expect("router backend");
+        let frames_ref = &frames;
+        let segment_lanes: Vec<_> = clients
+            .iter_mut()
+            .enumerate()
+            .map(|(k, client)| {
+                let first_group = (index as u64) << 32;
+                move || {
+                    hot_lane(
+                        k,
+                        client,
+                        frames_ref,
+                        deadline,
+                        traced.then_some(router),
+                        trace_origin,
+                        first_group,
+                    )
+                }
+            })
+            .collect();
+        let (segment_lanes, samples) = run_sampled(segment_lanes, origin, segment);
+        e2e.slices.extend(slices(&samples, &segment_lanes));
+        lanes.extend(segment_lanes);
+        counters.add(&started, &before);
+        stack = Some(started);
+    }
+    let mut stack = stack.expect("at least one segment");
     e2e.peak_rss_mb = crate::stats::peak_rss_mb();
-    let after = stack.router().stats();
-    let server_stats = stack.server.stats();
 
     // Outside the timed window: one checked pass over every state.
     let mut errors: Vec<String> = lanes
@@ -371,7 +412,7 @@ pub fn run_hot(seed: u64, seconds: Duration, traced: bool) -> Result<Outcome, St
         errors,
         ..Outcome::default()
     };
-    let mut tracer = Tracer::new(origin);
+    let mut tracer = Tracer::new(trace_origin);
     let mut request_bytes = Vec::new();
     let mut report_bytes = Vec::new();
     for lane in lanes {
@@ -385,12 +426,20 @@ pub fn run_hot(seed: u64, seconds: Duration, traced: bool) -> Result<Outcome, St
     outcome.summary = e2e.summary();
 
     if traced {
-        let (hits, misses, jobs) = router_delta(&before, &after);
-        let mean_jobs = jobs.iter().sum::<u64>() as f64 / jobs.len() as f64;
+        let HotCounters {
+            hits,
+            misses,
+            ref shard_jobs,
+            retries,
+            connections,
+            error_replies,
+            bad_frames,
+            timeouts,
+            oversized,
+        } = counters;
+        let mean_jobs = shard_jobs.iter().sum::<u64>() as f64 / shard_jobs.len() as f64;
         let per_request_us = |name: &str, own: bool| median(&tracer.per_group(name, own)) * 1e6;
         let (load_ms, snapshot_bytes) = time_snapshot_loads(&snapshots)?;
-        let retries: u64 = stack.clients.iter().map(WireClient::retries).sum();
-        let connections: u64 = stack.clients.iter().map(WireClient::connections).sum();
         outcome.layers = vec![
             metric(
                 "engine.wire.request_encode_us",
@@ -451,21 +500,17 @@ pub fn run_hot(seed: u64, seconds: Duration, traced: bool) -> Result<Outcome, St
             ),
             metric(
                 "router.shard_skew",
-                jobs.iter().copied().max().unwrap_or(0) as f64 / mean_jobs.max(1.0),
+                shard_jobs.iter().copied().max().unwrap_or(0) as f64 / mean_jobs.max(1.0),
                 "ratio",
             ),
             metric("engine.snapshot.load_ms", load_ms, "ms"),
             metric("engine.snapshot.bytes", snapshot_bytes as f64, "B"),
             metric("transport.retries", retries as f64, "count"),
             metric("transport.connections", connections as f64, "count"),
-            metric(
-                "server.error_replies",
-                server_stats.error_replies as f64,
-                "count",
-            ),
-            metric("server.bad_frames", server_stats.bad_frames as f64, "count"),
-            metric("server.timeouts", server_stats.timeouts as f64, "count"),
-            metric("server.oversized", server_stats.oversized as f64, "count"),
+            metric("server.error_replies", error_replies as f64, "count"),
+            metric("server.bad_frames", bad_frames as f64, "count"),
+            metric("server.timeouts", timeouts as f64, "count"),
+            metric("server.oversized", oversized as f64, "count"),
         ];
         crate::write_spans(&tracer, "serve-hot")?;
     }
@@ -484,9 +529,10 @@ fn hot_lane(
     frames: &[RequestFrame],
     deadline: Instant,
     router: Option<&Router>,
-    origin: Instant,
+    trace_origin: Instant,
+    first_group: u64,
 ) -> Lane {
-    let mut lane = Lane::new(origin);
+    let mut lane = Lane::new(trace_origin);
     let mut seq = 0u64;
     loop {
         for frame in frames.iter().skip(k).step_by(CLIENTS) {
@@ -502,7 +548,7 @@ fn hot_lane(
                             .push("serve-hot reply not from the cache".to_string());
                     }
                     if let Some(router) = router {
-                        let group = seq * CLIENTS as u64 + k as u64;
+                        let group = first_group + seq * CLIENTS as u64 + k as u64;
                         retime_hot(&mut lane, router, frame, *report, group, start, end);
                     }
                 }
