@@ -24,6 +24,7 @@ overhead (traced over untraced median).
 
 Everything is built from source into $CARGO_TARGET_DIR (default
 .bench_build) under the repository root; no file outside it is written.
+The workloads run on one CPU (see pin_to_one_cpu).
 """
 
 import argparse
@@ -57,6 +58,21 @@ def build():
     return target / "release" / "perfbench"
 
 
+def pin_to_one_cpu():
+    """Keeps this process and the workloads it starts on one CPU.
+
+    On the 2-vCPU guest this benchmark was tuned on, the hypervisor stole
+    up to half of the guest's time in busy spells, and a workload whose
+    threads hand work to each other across both vCPUs paid for it on every
+    hand-off: unpinned, `serve-hot` fell from about 360 to 150 jobs/s and
+    its p99 rose from 3.5 to 21 ms, while on one CPU it held 280 jobs/s and
+    a p99 of 7.5 ms in the same spell. No workload needs a second CPU:
+    `compile-table1` runs one thread and `serve-hot` keeps one request in
+    flight. The build runs before this and uses every CPU.
+    """
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
 def run_once(binary, workload, seed, seconds, trace, timeout=CHILD_TIMEOUT_S):
     """Runs one workload in its own process; returns its parsed JSON line."""
     result = subprocess.run(
@@ -77,6 +93,7 @@ def print_result(correct, attempted, failed, metrics):
 
 def single(args):
     binary = build()
+    pin_to_one_cpu()
     if not args.trace:
         out = run_once(binary, args.workload, args.seed, args.seconds, False)
         print_result(out["correct"], out["attempted"], out["failed"], out["metrics"])
@@ -108,6 +125,7 @@ def quartiles(values):
 
 def steady(args):
     binary = build()
+    pin_to_one_cpu()
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]

@@ -1,6 +1,7 @@
 //! `serve-hot` and `serve-cold`: `WireClient` → unix socket →
 //! `WireServer` → `Router` (2 shards × 1 worker) → `EngineService`, all in
-//! this process, with 2 load threads on 2 connections.
+//! this process, with 2 connections: `serve-hot` drives both from one load
+//! thread, `serve-cold` gives each its own.
 //!
 //! Both send `[9,5,6,3]` random states at approximated 0.98, so their
 //! frames have the same shape. `serve-hot` is a closed loop over 64 states
@@ -46,17 +47,17 @@ const COUNTED_ROUND: usize = 64;
 /// that no hot entry can be evicted.
 const COLD_CACHE_CAPACITY: usize = 128;
 /// Slice length of `serve-cold`: 200 requests. A `serve-hot` slice is a
-/// segment: with the benchmark's run length, about 2000 requests, so that
-/// its p99 has twenty samples beyond it.
+/// segment: with the benchmark's run length, over 1000 requests, so that
+/// its p99 has ten samples beyond it.
 const COLD_SLICE: Duration = Duration::from_secs(4);
 /// Fresh requests `serve-cold` sends during set-up, outside the timed set,
 /// so that the workers' arenas have grown before timing starts.
 const WARM_UP: usize = 8;
-/// Open-loop arrival rate of `serve-cold`, requests per second: a fifth of
-/// what the two single-worker shards complete in a closed loop on two
-/// cores. Requests are due 20 ms apart, more than twice a cold request's
-/// service time, so p99 measures service rather than a request waiting
-/// behind its predecessor.
+/// Open-loop arrival rate of `serve-cold`, requests per second. A cold
+/// request costs about 9 ms of CPU, so on the one CPU the benchmark runs on
+/// (`run.py`) the server is under half busy. Requests are due 20 ms apart,
+/// more than twice a cold request's service time, so p99 measures service
+/// rather than a request waiting behind its predecessor.
 const COLD_RATE: f64 = 50.0;
 
 fn register() -> Dims {
@@ -355,25 +356,18 @@ pub fn run_hot(seed: u64, seconds: Duration, traced: bool) -> Result<Outcome, St
         let Stack { server, clients } = &mut started;
         let router = server.backend().router().expect("router backend");
         let frames_ref = &frames;
-        let segment_lanes: Vec<_> = clients
-            .iter_mut()
-            .enumerate()
-            .map(|(k, client)| {
-                let first_group = (index as u64) << 32;
-                move || {
-                    hot_lane(
-                        k,
-                        client,
-                        frames_ref,
-                        deadline,
-                        traced.then_some(router),
-                        trace_origin,
-                        first_group,
-                    )
-                }
-            })
-            .collect();
-        let (segment_lanes, samples) = run_sampled(segment_lanes, origin, segment);
+        let first_group = (index as u64) << 32;
+        let segment_lane = move || {
+            hot_lane(
+                clients,
+                frames_ref,
+                deadline,
+                traced.then_some(router),
+                trace_origin,
+                first_group,
+            )
+        };
+        let (segment_lanes, samples) = run_sampled(vec![segment_lane], origin, segment);
         e2e.slices.extend(slices(&samples, &segment_lanes));
         lanes.extend(segment_lanes);
         counters.add(&started, &before);
@@ -519,13 +513,17 @@ pub fn run_hot(seed: u64, seconds: Duration, traced: bool) -> Result<Outcome, St
     Ok(outcome)
 }
 
-/// One closed-loop client: whole passes over its share of the hot states
-/// until the deadline. With a router, each request is broken down after
-/// the fact by re-running its codec, checksum, fingerprint and an
-/// in-process submit on the same frames.
+/// The closed loop: one load thread makes whole passes over the hot states
+/// until the deadline, sending state `i` on connection `i % CLIENTS`, so
+/// one request is in flight at a time. The benchmark runs on one CPU
+/// (`run.py`), where a second request in flight would only queue behind
+/// the first; with two in flight on two vCPUs, p99 followed the host's
+/// busy spells (medians of 7.6 and 10.3 ms in two sets of runs of the same
+/// code). With a router, each request is broken down after the fact by
+/// re-running its codec, checksum, fingerprint and an in-process submit on
+/// the same frames.
 fn hot_lane(
-    k: usize,
-    client: &mut WireClient,
+    clients: &mut [WireClient],
     frames: &[RequestFrame],
     deadline: Instant,
     router: Option<&Router>,
@@ -535,10 +533,10 @@ fn hot_lane(
     let mut lane = Lane::new(trace_origin);
     let mut seq = 0u64;
     loop {
-        for frame in frames.iter().skip(k).step_by(CLIENTS) {
+        for (i, frame) in frames.iter().enumerate() {
             lane.attempted += 1;
             let start = Instant::now();
-            let reply = client.call(frame);
+            let reply = clients[i % CLIENTS].call(frame);
             let end = Instant::now();
             match reply {
                 Ok(ServerReply::Report(report)) => {
@@ -548,7 +546,7 @@ fn hot_lane(
                             .push("serve-hot reply not from the cache".to_string());
                     }
                     if let Some(router) = router {
-                        let group = first_group + seq * CLIENTS as u64 + k as u64;
+                        let group = first_group + seq;
                         retime_hot(&mut lane, router, frame, *report, group, start, end);
                     }
                 }
